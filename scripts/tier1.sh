@@ -3,7 +3,8 @@
 # run whose JSON is schema-validated and pushed through the
 # bench_compare.py regression gate (self-compare must pass, an injected
 # 50% latency inflation must fail), a SIMD kernel leg (the kernel-parity
-# and golden-hash suites pinned to COHERE_SIMD=scalar and =avx2, plus a
+# and golden-hash suites, and the filtered-scan exactness and
+# span-truncation suites, pinned to COHERE_SIMD=scalar and =avx2, plus a
 # measured avx2-vs-scalar speedup gate over the kernel_scan bench series),
 # a query-flight-recorder probe (the CLI's
 # OpenMetrics exposition strict-parsed by check_openmetrics.py, the EXPLAIN
@@ -99,16 +100,22 @@ echo "==> tier-1: SIMD kernel leg (forced dispatch levels + speedup gate)"
 # pinned through the COHERE_SIMD override: scalar always, avx2 when this
 # CPU has it (graceful skip otherwise — the suites' own level loops already
 # clamp to DetectedLevel). The serving pins must hold bit-for-bit however
-# the process-wide default resolves.
+# the process-wide default resolves, and so must the scans' threshold filter
+# and span-granular truncation.
 KERNEL_FILTER='*Kernel*:*Simd*:*Golden*'
+SCAN_FILTER='FilteredScan*:SpanTruncation*:KnnCollector*'
 COHERE_SIMD=scalar "$BUILD_DIR/tests/simd_tests" --gtest_brief=1
 COHERE_SIMD=scalar "$BUILD_DIR/tests/core_tests" \
   --gtest_filter="$KERNEL_FILTER" --gtest_brief=1
+COHERE_SIMD=scalar "$BUILD_DIR/tests/index_tests" \
+  --gtest_filter="$SCAN_FILTER" --gtest_brief=1
 if grep -qw avx2 /proc/cpuinfo 2>/dev/null \
     && grep -qw fma /proc/cpuinfo 2>/dev/null; then
   COHERE_SIMD=avx2 "$BUILD_DIR/tests/simd_tests" --gtest_brief=1
   COHERE_SIMD=avx2 "$BUILD_DIR/tests/core_tests" \
     --gtest_filter="$KERNEL_FILTER" --gtest_brief=1
+  COHERE_SIMD=avx2 "$BUILD_DIR/tests/index_tests" \
+    --gtest_filter="$SCAN_FILTER" --gtest_brief=1
   # Measured-speedup gate: the smoke document's kernel_scan series time the
   # same blocked-L2 scan per dispatch level; avx2 must actually beat scalar.
   # The bar is 1.3x, not the naive 4x: the scalar oracle TU is itself

@@ -602,8 +602,6 @@ std::vector<std::vector<Neighbor>> ServingCore::QueryBatch(
           }
         });
       }
-      // Virtual dispatch: backends with a batch override (LinearScanIndex's
-      // multi-query block kernel) fan whole query-chunks per data pass.
       return shard.index->QueryBatch(reduced, k, stats, limits);
     }
     // Cached batch: answer hits up front, fan out only the misses.

@@ -10,14 +10,21 @@
 #include "obs/metrics.h"
 #include "obs/query_metrics.h"
 #include "obs/tracing.h"
+#include "simd/kernels.h"
 
 namespace cohere {
 namespace {
 
-// Max-heap ordering: the worst (largest distance, then largest index)
-// candidate sits at the root so it can be evicted first.
+// Rank order of candidates: (distance, index) ascending with NaN after
+// every number, which keeps it a strict weak order (as the heap and the
+// sort in Take require) even when distances are NaN. As the max-heap
+// ordering it puts the worst candidate at the root, so it is evicted first.
 bool HeapLess(const Neighbor& a, const Neighbor& b) {
-  if (a.distance != b.distance) return a.distance < b.distance;
+  if (a.distance < b.distance) return true;
+  if (b.distance < a.distance) return false;
+  const bool a_nan = std::isnan(a.distance);
+  const bool b_nan = std::isnan(b.distance);
+  if (a_nan != b_nan) return b_nan;
   return a.index < b.index;
 }
 
@@ -35,14 +42,37 @@ void KnnCollector::Offer(size_t index, double distance) {
     return;
   }
   if (k_ == 0) return;
-  const Neighbor& worst = heap_.front();
-  if (distance > worst.distance ||
-      (distance == worst.distance && index > worst.index)) {
-    return;
-  }
+  const Neighbor candidate{index, distance};
+  if (!HeapLess(candidate, heap_.front())) return;
   std::pop_heap(heap_.begin(), heap_.end(), HeapLess);
-  heap_.back() = {index, distance};
+  heap_.back() = candidate;
   std::push_heap(heap_.begin(), heap_.end(), HeapLess);
+}
+
+void KnnCollector::OfferSpan(size_t first, const double* distance,
+                             size_t count, size_t skip_index) {
+  size_t r = 0;
+  for (; r < count && heap_.size() < k_; ++r) {
+    if (first + r != skip_index) Offer(first + r, distance[r]);
+  }
+  if (r == count || k_ == 0) return;
+  // The heap is full. A later row beats the worst only at a smaller
+  // distance, or as a number when the worst is NaN; a NaN row never does.
+  // `distance <= bound` passes all of those (NaN fails every compare) and
+  // lets only exact ties through, which Offer then rejects.
+  const auto bound_of = [](double worst) {
+    return std::isnan(worst) ? std::numeric_limits<double>::infinity()
+                             : worst;
+  };
+  const auto first_at_most = simd::ActiveKernels().first_at_most;
+  double bound = bound_of(heap_.front().distance);
+  while ((r += first_at_most(distance + r, count - r, bound)) < count) {
+    if (first + r != skip_index) {
+      Offer(first + r, distance[r]);
+      bound = bound_of(heap_.front().distance);
+    }
+    ++r;
+  }
 }
 
 double KnnCollector::Threshold() const {

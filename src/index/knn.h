@@ -124,6 +124,21 @@ class QueryControl {
     if (stopped_) return true;
     if (--countdown_ > 0) return false;
     countdown_ = kCheckInterval;
+    return Check();
+  }
+
+  /// Span-granular form of ShouldStop for scans that evaluate up to
+  /// kCheckInterval rows per call: consults the token and the clock on
+  /// every call, so calling it once before each kCheckInterval-row span
+  /// keeps the same "at most one check interval past expiry" bound.
+  /// Latches like ShouldStop and leaves its countdown untouched.
+  bool ShouldStopBeforeSpan() { return stopped_ || Check(); }
+
+  bool stopped() const { return stopped_; }
+  bool deadline_exceeded() const { return deadline_exceeded_; }
+
+ private:
+  bool Check() {
     if (cancel_ != nullptr && cancel_->Cancelled()) {
       stopped_ = true;
     } else if (has_deadline_ &&
@@ -134,10 +149,6 @@ class QueryControl {
     return stopped_;
   }
 
-  bool stopped() const { return stopped_; }
-  bool deadline_exceeded() const { return deadline_exceeded_; }
-
- private:
   const CancelToken* cancel_;
   std::chrono::steady_clock::time_point deadline_;
   bool has_deadline_;
@@ -184,7 +195,7 @@ class KnnIndex {
   /// exactly Query(queries.Row(i), k): queries are independent, so the
   /// parallel path is bitwise identical to the serial one. When `stats` is
   /// non-null the per-thread counters are merged into it.
-  virtual std::vector<std::vector<Neighbor>> QueryBatch(
+  std::vector<std::vector<Neighbor>> QueryBatch(
       const Matrix& queries, size_t k, QueryStats* stats = nullptr) const;
 
   /// QueryBatch under `limits`. The deadline is batch-wide: one absolute
@@ -209,10 +220,11 @@ class KnnIndex {
   /// Backend hook behind Query(): answers one query, accumulating work
   /// counters into `stats` when it is non-null. `control` is null for
   /// unlimited queries; when non-null the backend must call
-  /// control->ShouldStop() around each distance evaluation (or node visit)
-  /// and, once it returns true, stop traversing and return the best
-  /// candidates collected so far. The wrapper translates a stopped control
-  /// into `QueryStats::truncated`.
+  /// control->ShouldStop() around each distance evaluation (or node visit),
+  /// or control->ShouldStopBeforeSpan() before each span of at most
+  /// QueryControl::kCheckInterval rows, and, once it returns true, stop
+  /// traversing and return the best candidates collected so far. The
+  /// wrapper translates a stopped control into `QueryStats::truncated`.
   virtual std::vector<Neighbor> QueryImpl(const Vector& query, size_t k,
                                           size_t skip_index,
                                           QueryStats* stats,
@@ -244,12 +256,26 @@ class KnnIndex {
 };
 
 /// Bounded max-heap collecting the k best candidates during a scan.
+///
+/// Candidates rank by (distance, index) ascending, with NaN distances
+/// after every number (+infinity included) and NaN ties broken by index,
+/// so a NaN can neither evict a real neighbour nor stick in the heap.
 class KnnCollector {
  public:
   explicit KnnCollector(size_t k) : k_(k) {}
 
-  /// Offers a candidate; keeps only the k smallest distances.
+  /// Offers a candidate; keeps only the k best-ranked.
   void Offer(size_t index, double distance);
+
+  /// Offers rows `first .. first + count - 1` with distances
+  /// `distance[0 .. count)`, except `skip_index`; the result is exactly that
+  /// of offering each row in turn. Precondition: across all offers to this
+  /// collector, rows arrive in increasing index order. Then a row whose
+  /// distance ties the current worst always loses the tie, and once the
+  /// heap is full only rows with distance <= the worst (any number when
+  /// the worst is NaN; never a NaN) reach Offer — one compare per row.
+  void OfferSpan(size_t first, const double* distance, size_t count,
+                 size_t skip_index);
 
   /// Current k-th best distance, or +infinity while fewer than k collected.
   double Threshold() const;

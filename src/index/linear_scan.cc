@@ -3,23 +3,15 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/parallel.h"
-#include "obs/metrics.h"
-#include "obs/tracing.h"
-#include "simd/kernels.h"
 
 namespace cohere {
 namespace {
 
-// Rows per ComparableDistanceBlock call. A span is many SIMD row-groups:
-// large enough that the per-call virtual dispatch and kernel counter cost
-// vanish, small enough that the distance buffer lives on the stack.
+// Rows per ComparableDistanceBlock call without a control. A span is many
+// SIMD row-groups: large enough that the per-call virtual dispatch and
+// kernel counter cost vanish, small enough that the distance buffer lives
+// on the stack. Under a control the span shrinks to one check interval.
 constexpr size_t kScanSpan = 256;
-
-// Queries per multi-query chunk in the batch fan-out. Matches the base
-// QueryBatch grain so chunk boundaries (and thus parallel scheduling
-// behaviour) are unchanged.
-constexpr size_t kBatchGrain = 4;
 
 }  // namespace
 
@@ -42,104 +34,24 @@ std::vector<Neighbor> LinearScanIndex::QueryImpl(const Vector& query, size_t k,
   const double* q = query.data();
   const size_t d = rows_->cols();
   const size_t n = rows_->rows();
-  if (control == nullptr) {
-    // Span-at-a-time scan: one block-kernel call per kScanSpan rows, then a
-    // sequential offer loop — the same (index, distance) stream the
-    // historical per-row loop produced, bit for bit.
-    double dist[kScanSpan];
-    for (size_t base = 0; base < n; base += kScanSpan) {
-      const size_t span = std::min(kScanSpan, n - base);
-      metric_->ComparableDistanceBlock(q, rows_->RowPtr(base), span, d, dist);
-      if (skip_index - base < span) {
-        for (size_t r = 0; r < span; ++r) {
-          if (base + r == skip_index) continue;
-          collector.Offer(base + r, dist[r]);
-        }
-      } else {
-        for (size_t r = 0; r < span; ++r) collector.Offer(base + r, dist[r]);
-      }
-    }
-    if (stats != nullptr) {
-      // The scan evaluates every non-skipped row; count in one add instead
-      // of a pointer-indirect increment inside the hot loop.
-      stats->distance_evaluations += n - (skip_index < n ? 1 : 0);
-    }
-  } else {
-    // Deadline/cancel path: per-row evaluation preserves the exact
-    // truncation semantics (one control check per distance).
-    size_t evaluated = 0;
-    for (size_t i = 0; i < n; ++i) {
-      if (i == skip_index) continue;
-      if (control->ShouldStop()) break;
-      const double comparable =
-          metric_->ComparableDistance(q, rows_->RowPtr(i), d);
-      collector.Offer(i, comparable);
-      ++evaluated;
-    }
-    if (stats != nullptr) stats->distance_evaluations += evaluated;
+  // One block-kernel call per span, then the collector's threshold filter.
+  // Rows arrive in increasing index order, so the answer is bit-identical
+  // to offering every row; a control is consulted once before each span.
+  const size_t span_rows =
+      control != nullptr ? QueryControl::kCheckInterval : kScanSpan;
+  double dist[kScanSpan];
+  size_t evaluated = 0;
+  for (size_t base = 0; base < n; base += span_rows) {
+    if (control != nullptr && control->ShouldStopBeforeSpan()) break;
+    const size_t span = std::min(span_rows, n - base);
+    metric_->ComparableDistanceBlock(q, rows_->RowPtr(base), span, d, dist);
+    collector.OfferSpan(base, dist, span, skip_index);
+    evaluated += span - (skip_index - base < span ? 1 : 0);
   }
+  if (stats != nullptr) stats->distance_evaluations += evaluated;
   std::vector<Neighbor> out = collector.Take();
   for (Neighbor& n : out) {
     n.distance = metric_->ComparableToActual(n.distance);
-  }
-  return out;
-}
-
-std::vector<std::vector<Neighbor>> LinearScanIndex::QueryBatch(
-    const Matrix& queries, size_t k, QueryStats* stats) const {
-  // The multi-query scan answers a whole chunk per pass over the data, so
-  // it cannot attribute latency to individual queries; while the registry
-  // (or tracer) is recording, take the base per-query instrumented path —
-  // the answers are bitwise identical either way.
-  if (obs::MetricsRegistry::Enabled() || obs::Tracer::Enabled() ||
-      metric_->kind() != MetricKind::kEuclidean) {
-    return KnnIndex::QueryBatch(queries, k, stats);
-  }
-
-  const size_t n_queries = queries.rows();
-  std::vector<std::vector<Neighbor>> out(n_queries);
-  if (n_queries == 0) return out;
-  COHERE_CHECK_EQ(queries.cols(), dims());
-
-  const size_t d = rows_->cols();
-  const size_t n = rows_->rows();
-  const auto& kernels = simd::ActiveKernels();
-  const size_t chunks = ParallelChunkCount(n_queries, kBatchGrain);
-  std::vector<QueryStats> partial(stats != nullptr ? chunks : 0);
-  ParallelForIndexed(0, n_queries, kBatchGrain,
-                     [&](size_t chunk, size_t begin, size_t end) {
-    const size_t chunk_queries = end - begin;
-    std::vector<KnnCollector> collectors(chunk_queries, KnnCollector(k));
-    double dist[kBatchGrain * kScanSpan];
-    for (size_t base = 0; base < n; base += kScanSpan) {
-      const size_t span = std::min(kScanSpan, n - base);
-      // One resident span serves every query of the chunk before the scan
-      // moves on — the block is loaded from memory once per chunk.
-      kernels.l2_multi_block(queries.RowPtr(begin), chunk_queries,
-                             rows_->RowPtr(base), span, d, dist);
-      for (size_t qi = 0; qi < chunk_queries; ++qi) {
-        const double* row_dist = dist + qi * span;
-        KnnCollector& collector = collectors[qi];
-        for (size_t r = 0; r < span; ++r) {
-          collector.Offer(base + r, row_dist[r]);
-        }
-      }
-    }
-    simd::CountKernel(simd::KernelId::kMultiBlock,
-                      (n + kScanSpan - 1) / kScanSpan);
-    for (size_t qi = 0; qi < chunk_queries; ++qi) {
-      std::vector<Neighbor> result = collectors[qi].Take();
-      for (Neighbor& nb : result) {
-        nb.distance = metric_->ComparableToActual(nb.distance);
-      }
-      out[begin + qi] = std::move(result);
-    }
-    if (stats != nullptr) {
-      partial[chunk].distance_evaluations += chunk_queries * n;
-    }
-  });
-  if (stats != nullptr) {
-    for (const QueryStats& p : partial) stats->MergeFrom(p);
   }
   return out;
 }

@@ -12,10 +12,11 @@ namespace cohere {
 /// against, and — per the paper's motivation — often the only competitive
 /// option in full dimensionality where partition pruning fails.
 ///
-/// Scans run block-at-a-time over 64-byte-aligned BlockedMatrix storage
+/// Scans run span-at-a-time over 64-byte-aligned BlockedMatrix storage
 /// through Metric::ComparableDistanceBlock, which dispatches to the SIMD
-/// kernel tier the CPU supports; results are bitwise identical to the
-/// historical per-row scalar scan at every dispatch level.
+/// kernel tier the CPU supports, and offer only the rows that can still
+/// enter the top k (KnnCollector::OfferSpan); results are bitwise identical
+/// to the historical per-row scalar scan at every dispatch level.
 class LinearScanIndex final : public KnnIndex {
  public:
   /// Indexes shard-owned blocked rows. `rows` is shared with the snapshot
@@ -31,16 +32,6 @@ class LinearScanIndex final : public KnnIndex {
                                   QueryControl* control) const override;
 
  public:
-  /// Batch override: fans whole query-blocks to the pool and scans each
-  /// chunk with the multi-query kernel (rows are loaded from cache once per
-  /// chunk rather than once per query). Results are bitwise identical to
-  /// per-query Query(); when metrics or tracing are enabled the base
-  /// per-query instrumented path runs instead so per-query latency
-  /// histograms stay faithful.
-  std::vector<std::vector<Neighbor>> QueryBatch(
-      const Matrix& queries, size_t k,
-      QueryStats* stats = nullptr) const override;
-
   size_t size() const override { return rows_->rows(); }
   size_t dims() const override { return rows_->cols(); }
   std::string name() const override { return "linear_scan"; }

@@ -71,88 +71,42 @@ std::vector<Neighbor> VaFileIndex::QueryImpl(const Vector& query, size_t k,
   COHERE_CHECK_EQ(query.size(), d);
   if (k == 0 || n == 0) return {};
 
+  // Phase 1: scan the approximations in spans through the packed bound
+  // kernel, computing lower/upper bounds in the metric's comparable form.
+  // Both filters below are exact: the final upper-bound threshold is <=
+  // every running one, so an upper bound above the running threshold could
+  // never lower it, and a lower bound above it fails the final cut anyway.
   const MetricKind kind = metric_->kind();
-
-  // Phase 1: scan the approximations computing lower/upper bounds in the
-  // metric's comparable form.
+  const auto& kernels = simd::ActiveKernels();
+  const auto va_bounds = kind == MetricKind::kEuclidean ? kernels.va_bounds_l2
+                         : kind == MetricKind::kManhattan
+                             ? kernels.va_bounds_l1
+                             : kernels.va_bounds_linf;
+  constexpr size_t kSpan = 256;
+  const size_t span_rows =
+      control != nullptr ? QueryControl::kCheckInterval : kSpan;
+  const size_t bstride = cells_ + 1;
   std::vector<std::pair<double, size_t>> candidates;  // (lower bound, index)
-  candidates.reserve(n);
   KnnCollector upper_bounds(k);
-
-  // Phase 1 touches every non-skipped approximation cell; without a control
-  // the total is known up front, so count in one add and keep the hot loop
-  // free of bookkeeping.
+  double lb[kSpan];
+  double ub[kSpan];
   size_t visited = 0;
-  if (control == nullptr && stats != nullptr) {
-    stats->nodes_visited += n - (skip_index < n ? 1 : 0);
-  }
-  if (control == nullptr) {
-    // Packed bound scan: one kernel pass per span of code rows over the
-    // flattened boundary table, then a sequential offer loop — the same
-    // (lb, ub, index) stream as the scalar loop, bit for bit.
-    const auto& kernels = simd::ActiveKernels();
-    const auto va_bounds = kind == MetricKind::kEuclidean ? kernels.va_bounds_l2
-                           : kind == MetricKind::kManhattan
-                               ? kernels.va_bounds_l1
-                               : kernels.va_bounds_linf;
-    constexpr size_t kSpan = 256;
-    const size_t bstride = cells_ + 1;
-    double lb[kSpan];
-    double ub[kSpan];
-    for (size_t base = 0; base < n; base += kSpan) {
-      const size_t span = std::min(kSpan, n - base);
-      va_bounds(query.data(), codes_.data() + base * d, span, d,
-                boundaries_.data(), bstride, lb, ub);
-      for (size_t r = 0; r < span; ++r) {
-        const size_t i = base + r;
-        if (i == skip_index) continue;
-        upper_bounds.Offer(i, ub[r]);
-        candidates.emplace_back(lb[r], i);
-      }
-    }
-    simd::CountKernel(simd::KernelId::kVaBounds, (n + kSpan - 1) / kSpan);
-  } else {
-    // Deadline/cancel path: per-row bound evaluation preserves the exact
-    // truncation semantics (one control check per approximation).
-    for (size_t i = 0; i < n; ++i) {
-      if (i == skip_index) continue;
-      if (control->ShouldStop()) break;
-      ++visited;
-      const uint8_t* code = &codes_[i * d];
-      double lb = 0.0;
-      double ub = 0.0;
-      for (size_t j = 0; j < d; ++j) {
-        const double lo = CellLo(j, code[j]);
-        const double hi = CellHi(j, code[j]);
-        const double q = query[j];
-        double lb_j = 0.0;
-        if (q < lo) {
-          lb_j = lo - q;
-        } else if (q > hi) {
-          lb_j = q - hi;
-        }
-        const double ub_j = std::max(std::fabs(q - lo), std::fabs(q - hi));
-        switch (kind) {
-          case MetricKind::kEuclidean:
-            lb += lb_j * lb_j;
-            ub += ub_j * ub_j;
-            break;
-          case MetricKind::kManhattan:
-            lb += lb_j;
-            ub += ub_j;
-            break;
-          case MetricKind::kChebyshev:
-            lb = std::max(lb, lb_j);
-            ub = std::max(ub, ub_j);
-            break;
-          default:
-            COHERE_CHECK_MSG(false, "unreachable metric kind");
-        }
-      }
-      upper_bounds.Offer(i, ub);
-      candidates.emplace_back(lb, i);
+  size_t spans = 0;
+  for (size_t base = 0; base < n; base += span_rows) {
+    if (control != nullptr && control->ShouldStopBeforeSpan()) break;
+    const size_t span = std::min(span_rows, n - base);
+    va_bounds(query.data(), codes_.data() + base * d, span, d,
+              boundaries_.data(), bstride, lb, ub);
+    ++spans;
+    visited += span - (skip_index - base < span ? 1 : 0);
+    upper_bounds.OfferSpan(base, ub, span, skip_index);
+    const double ub_threshold = upper_bounds.Threshold();
+    for (size_t r = 0; r < span; ++r) {
+      if (lb[r] > ub_threshold || base + r == skip_index) continue;
+      candidates.emplace_back(lb[r], base + r);
     }
   }
+  simd::CountKernel(simd::KernelId::kVaBounds, spans);
 
   // Points whose lower bound exceeds the k-th smallest upper bound can never
   // make the answer set.
@@ -168,8 +122,8 @@ std::vector<Neighbor> VaFileIndex::QueryImpl(const Vector& query, size_t k,
   // distance evaluation).
   KnnCollector collector(k);
   uint64_t refined = 0;  // register accumulator; published once below
-  for (const auto& [lb, i] : candidates) {
-    if (collector.Full() && lb > collector.Threshold()) break;
+  for (const auto& [lower, i] : candidates) {
+    if (collector.Full() && lower > collector.Threshold()) break;
     if (control != nullptr && control->ShouldStop()) break;
     const double comparable =
         metric_->ComparableDistance(query.data(), rows_->RowPtr(i), d);
@@ -177,7 +131,7 @@ std::vector<Neighbor> VaFileIndex::QueryImpl(const Vector& query, size_t k,
     collector.Offer(i, comparable);
   }
   if (stats != nullptr) {
-    if (control != nullptr) stats->nodes_visited += visited;
+    stats->nodes_visited += visited;
     stats->distance_evaluations += refined;
     stats->candidates_refined += refined;
   }

@@ -52,14 +52,6 @@ class VaFileIndex final : public KnnIndex {
   }
 
  private:
-  /// Cell boundaries for dimension j live at boundaries_[j * (cells_ + 1)].
-  double CellLo(size_t dim, uint8_t cell) const {
-    return boundaries_[dim * (cells_ + 1) + cell];
-  }
-  double CellHi(size_t dim, uint8_t cell) const {
-    return boundaries_[dim * (cells_ + 1) + cell + 1];
-  }
-
   std::shared_ptr<const BlockedMatrix> rows_;
   const Metric* metric_;
   size_t cells_;  // 2^bits_per_dim

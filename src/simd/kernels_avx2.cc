@@ -147,16 +147,6 @@ void FractionalBlockAvx2(const double* q, const double* rows, size_t n_rows,
   }
 }
 
-void L2MultiBlockAvx2(const double* queries, size_t n_queries,
-                      const double* rows, size_t n_rows, size_t d,
-                      double* out) {
-  // Iterate queries over one resident row range: the rows stay hot in cache
-  // across the whole query batch.
-  for (size_t qi = 0; qi < n_queries; ++qi) {
-    Block<Accum::kL2>(queries + qi * d, rows, n_rows, d, out + qi * n_rows);
-  }
-}
-
 enum class VaKind { kL2, kL1, kLinf };
 
 template <VaKind Kind>
@@ -220,6 +210,23 @@ void VaBounds(const double* q, const uint8_t* codes, size_t n_rows, size_t d,
                       ub + r);
     }
   }
+}
+
+// Sixteen values per branch; the scalar helper pins the exact index once a
+// group holds a hit (_CMP_LE_OQ is false for NaN, like the scalar <=).
+size_t FirstAtMostAvx2(const double* v, size_t n, double bound) {
+  const __m256d b = _mm256_set1_pd(bound);
+  size_t r = 0;
+  for (; r + 16 <= n; r += 16) {
+    const __m256d lo = _mm256_or_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(v + r), b, _CMP_LE_OQ),
+        _mm256_cmp_pd(_mm256_loadu_pd(v + r + 4), b, _CMP_LE_OQ));
+    const __m256d hi = _mm256_or_pd(
+        _mm256_cmp_pd(_mm256_loadu_pd(v + r + 8), b, _CMP_LE_OQ),
+        _mm256_cmp_pd(_mm256_loadu_pd(v + r + 12), b, _CMP_LE_OQ));
+    if (_mm256_movemask_pd(_mm256_or_pd(lo, hi)) != 0) break;
+  }
+  return r + FirstAtMost(v + r, n - r, bound);
 }
 
 // ---- fast_math pair kernels: across-dimension accumulation with FMA ----
@@ -313,9 +320,8 @@ const KernelTable& Avx2Kernels() {
   static const KernelTable table = {
       Block<Accum::kL2>,     Block<Accum::kL1>,   Block<Accum::kLinf>,
       Block<Accum::kCosine>, FractionalBlockAvx2,
-      L2MultiBlockAvx2,
       VaBounds<VaKind::kL2>, VaBounds<VaKind::kL1>,
-      VaBounds<VaKind::kLinf>,
+      VaBounds<VaKind::kLinf>, FirstAtMostAvx2,
       L2PairFastAvx2,        L1PairFastAvx2,      LinfPairFastAvx2,
       CosinePairFastAvx2,
   };

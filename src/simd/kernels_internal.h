@@ -76,6 +76,12 @@ static inline double FractionalRow(const double* q, const double* row,
   return sum;
 }
 
+static inline size_t FirstAtMost(const double* v, size_t n, double bound) {
+  size_t r = 0;
+  while (r < n && !(v[r] <= bound)) ++r;
+  return r;
+}
+
 // VA-file per-row bound loops, one per decomposable metric kind; these
 // mirror the historical VaFileIndex phase-1 loop exactly.
 

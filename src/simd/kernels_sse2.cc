@@ -119,14 +119,6 @@ void FractionalBlockSse2(const double* q, const double* rows, size_t n_rows,
   }
 }
 
-void L2MultiBlockSse2(const double* queries, size_t n_queries,
-                      const double* rows, size_t n_rows, size_t d,
-                      double* out) {
-  for (size_t qi = 0; qi < n_queries; ++qi) {
-    Block<Accum::kL2>(queries + qi * d, rows, n_rows, d, out + qi * n_rows);
-  }
-}
-
 enum class VaKind { kL2, kL1, kLinf };
 
 template <VaKind Kind>
@@ -183,6 +175,21 @@ void VaBounds(const double* q, const uint8_t* codes, size_t n_rows, size_t d,
                       ub + r);
     }
   }
+}
+
+// Eight values per branch; the scalar helper pins the exact index once a
+// group holds a hit (CMPLEPD is false for NaN, like the scalar <=).
+size_t FirstAtMostSse2(const double* v, size_t n, double bound) {
+  const __m128d b = _mm_set1_pd(bound);
+  size_t r = 0;
+  for (; r + 8 <= n; r += 8) {
+    const __m128d lo = _mm_or_pd(_mm_cmple_pd(_mm_loadu_pd(v + r), b),
+                                 _mm_cmple_pd(_mm_loadu_pd(v + r + 2), b));
+    const __m128d hi = _mm_or_pd(_mm_cmple_pd(_mm_loadu_pd(v + r + 4), b),
+                                 _mm_cmple_pd(_mm_loadu_pd(v + r + 6), b));
+    if (_mm_movemask_pd(_mm_or_pd(lo, hi)) != 0) break;
+  }
+  return r + FirstAtMost(v + r, n - r, bound);
 }
 
 // ---- fast_math pair kernels: across-dimension accumulation (no FMA in
@@ -270,9 +277,8 @@ const KernelTable& Sse2Kernels() {
   static const KernelTable table = {
       Block<Accum::kL2>,     Block<Accum::kL1>,   Block<Accum::kLinf>,
       Block<Accum::kCosine>, FractionalBlockSse2,
-      L2MultiBlockSse2,
       VaBounds<VaKind::kL2>, VaBounds<VaKind::kL1>,
-      VaBounds<VaKind::kLinf>,
+      VaBounds<VaKind::kLinf>, FirstAtMostSse2,
       L2PairFastSse2,        L1PairFastSse2,      LinfPairFastSse2,
       CosinePairFastSse2,
   };

@@ -137,8 +137,8 @@ TEST(ServingSimdGoldenTest, LocalEngineBitIdenticalAtEveryLevel) {
 }
 
 TEST(ServingSimdGoldenTest, QueryBatchBitIdenticalAcrossLevels) {
-  // The LinearScan batch override (multi-query kernel) must agree with the
-  // serial Query path entry for entry, bit for bit, at every level.
+  // The pooled LinearScan batch path must agree with the serial Query path
+  // entry for entry, bit for bit, at every level.
   Dataset data = IonosphereLike(273);
   EngineOptions options;
   options.reduction.strategy = SelectionStrategy::kCoherenceOrder;

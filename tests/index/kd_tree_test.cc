@@ -1,5 +1,8 @@
 #include "index/kd_tree.h"
 
+#include <cstdint>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -74,12 +77,20 @@ TEST(KdTreeDeathTest, RejectsNonTrueMetric) {
   EXPECT_DEATH(KdTreeIndex(Matrix(3, 2), cosine.get()), "true metric");
 }
 
+// gtest names each case by dumping the parameter's bytes, so the gap after
+// `metric` is an explicit zeroed field: left as padding it would carry
+// whatever the stack held, and the test name would change from run to run.
 struct KnnCase {
+  KnnCase(MetricKind metric, size_t n, size_t d, size_t k)
+      : metric(metric), n(n), d(d), k(k) {}
+
   MetricKind metric;
+  uint32_t gap = 0;
   size_t n;
   size_t d;
   size_t k;
 };
+static_assert(std::has_unique_object_representations_v<KnnCase>);
 
 class KdTreeAgreementTest : public ::testing::TestWithParam<KnnCase> {};
 

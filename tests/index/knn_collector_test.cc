@@ -9,6 +9,7 @@ namespace cohere {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 
 TEST(KnnCollectorTest, ThresholdIsInfiniteUntilFull) {
   KnnCollector collector(3);
@@ -95,6 +96,41 @@ TEST(KnnCollectorTest, FewerOffersThanKReturnsAll) {
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(out[0].index, 1u);
   EXPECT_EQ(out[1].index, 2u);
+}
+
+TEST(KnnCollectorTest, NanDistancesNeverEvictARealNeighbour) {
+  // A NaN offered to a full heap used to fail both reject comparisons,
+  // evict a real neighbour and then stay put: this stream returned rows
+  // {3 (NaN), 6, 4}.
+  const double dist[] = {1.0, 2.0, 3.0, kNan, 0.5, 4.0, 0.25};
+  KnnCollector collector(3);
+  for (size_t i = 0; i < 7; ++i) collector.Offer(i, dist[i]);
+  const auto out = collector.Take();
+  ASSERT_EQ(out.size(), 3u);
+  EXPECT_EQ(out[0], (Neighbor{6, 0.25}));
+  EXPECT_EQ(out[1], (Neighbor{4, 0.5}));
+  EXPECT_EQ(out[2], (Neighbor{0, 1.0}));
+}
+
+TEST(KnnCollectorTest, NanRanksAfterEveryNumberWithTiesByIndex) {
+  // NaN only fills slots no number can: it ranks after +inf, and two NaNs
+  // tie-break by index whatever the arrival order.
+  KnnCollector collector(4);
+  collector.Offer(7, kNan);
+  collector.Offer(2, kInf);
+  collector.Offer(5, kNan);
+  collector.Offer(9, kNan);
+  EXPECT_TRUE(std::isnan(collector.Threshold()));
+  collector.Offer(1, kNan);  // beats the NaN at 9 on index
+  collector.Offer(8, 1e300);  // any number beats a NaN
+  const auto out = collector.Take();
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0], (Neighbor{8, 1e300}));
+  EXPECT_EQ(out[1], (Neighbor{2, kInf}));
+  EXPECT_EQ(out[2].index, 1u);
+  EXPECT_TRUE(std::isnan(out[2].distance));
+  EXPECT_EQ(out[3].index, 5u);
+  EXPECT_TRUE(std::isnan(out[3].distance));
 }
 
 }  // namespace

@@ -213,8 +213,12 @@ TEST(QueryBatchDeadlineTest, CancelTokenStopsTheBatch) {
 }
 
 TEST(QueryBatchDeadlineTest, PerQueryDeadlineTruncatesSingleQueries) {
-  const Matrix data = RandomMatrix(500, 6, 59);
-  const Vector query = RandomMatrix(1, 6, 60).Row(0);
+  // The budget rounds up to 1us, so a query only truncates if it runs past
+  // that. At 32 dimensions no tree prunes, and every backend spends over
+  // 10us on 1000 rows, checking its control many times on the way; a small
+  // low-dimensional set can finish inside the budget and flake.
+  const Matrix data = RandomMatrix(1000, 32, 59);
+  const Vector query = RandomMatrix(1, 32, 60).Row(0);
   auto metric = MakeMetric(MetricKind::kEuclidean);
   QueryLimits limits;
   limits.deadline_us = 1e-3;

@@ -90,5 +90,22 @@ TEST(QueryControlTest, CancelledTokenStopsAtTheFirstCheck) {
   EXPECT_FALSE(control.deadline_exceeded());
 }
 
+TEST(QueryControlTest, SpanCheckConsultsTheTokenOnEveryCall) {
+  CancelToken cancel;
+  QueryLimits limits;
+  limits.cancel = &cancel;
+  QueryControl control = QueryControl::FromLimits(limits);
+  EXPECT_FALSE(control.ShouldStopBeforeSpan());
+  EXPECT_FALSE(control.ShouldStopBeforeSpan());
+  // No countdown: the very next span check sees the cancellation, and the
+  // stop latches for both entry points.
+  cancel.Cancel();
+  EXPECT_TRUE(control.ShouldStopBeforeSpan());
+  cancel.Reset();
+  EXPECT_TRUE(control.ShouldStopBeforeSpan());
+  EXPECT_TRUE(control.ShouldStop());
+  EXPECT_FALSE(control.deadline_exceeded());
+}
+
 }  // namespace
 }  // namespace cohere

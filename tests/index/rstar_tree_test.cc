@@ -1,5 +1,8 @@
 #include "index/rstar_tree.h"
 
+#include <cstdint>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -76,13 +79,21 @@ TEST(RStarTreeDeathTest, RejectsBadConfig) {
   EXPECT_DEATH(RStarTreeIndex(Matrix(3, 2), l2.get(), 3), "COHERE_CHECK");
 }
 
+// gtest names each case by dumping the parameter's bytes, so the gap after
+// `metric` is an explicit zeroed field: left as padding it would carry
+// whatever the stack held, and the test name would change from run to run.
 struct RStarCase {
+  RStarCase(MetricKind metric, size_t n, size_t d, size_t k, size_t max_entries)
+      : metric(metric), n(n), d(d), k(k), max_entries(max_entries) {}
+
   MetricKind metric;
+  uint32_t gap = 0;
   size_t n;
   size_t d;
   size_t k;
   size_t max_entries;
 };
+static_assert(std::has_unique_object_representations_v<RStarCase>);
 
 class RStarAgreementTest : public ::testing::TestWithParam<RStarCase> {};
 

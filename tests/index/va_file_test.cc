@@ -1,5 +1,8 @@
 #include "index/va_file.h"
 
+#include <cstdint>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -70,13 +73,21 @@ TEST(VaFileDeathTest, RejectsBadConfig) {
   EXPECT_DEATH(VaFileIndex(Matrix(3, 2), l2.get(), 9), "COHERE_CHECK");
 }
 
+// gtest names each case by dumping the parameter's bytes, so the gap after
+// `metric` is an explicit zeroed field: left as padding it would carry
+// whatever the stack held, and the test name would change from run to run.
 struct VaCase {
+  VaCase(MetricKind metric, size_t n, size_t d, size_t k, size_t bits)
+      : metric(metric), n(n), d(d), k(k), bits(bits) {}
+
   MetricKind metric;
+  uint32_t gap = 0;
   size_t n;
   size_t d;
   size_t k;
   size_t bits;
 };
+static_assert(std::has_unique_object_representations_v<VaCase>);
 
 class VaFileAgreementTest : public ::testing::TestWithParam<VaCase> {};
 

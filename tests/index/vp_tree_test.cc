@@ -1,5 +1,8 @@
 #include "index/vp_tree.h"
 
+#include <cstdint>
+#include <type_traits>
+
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
@@ -69,13 +72,21 @@ TEST(VpTreeDeathTest, RejectsNonTrueMetric) {
   EXPECT_DEATH(VpTreeIndex(Matrix(3, 2), cosine.get()), "true metric");
 }
 
+// gtest names each case by dumping the parameter's bytes, so the gap after
+// `metric` is an explicit zeroed field: left as padding it would carry
+// whatever the stack held, and the test name would change from run to run.
 struct VpCase {
+  VpCase(MetricKind metric, size_t n, size_t d, size_t k, size_t leaf)
+      : metric(metric), n(n), d(d), k(k), leaf(leaf) {}
+
   MetricKind metric;
+  uint32_t gap = 0;
   size_t n;
   size_t d;
   size_t k;
   size_t leaf;
 };
+static_assert(std::has_unique_object_representations_v<VpCase>);
 
 class VpTreeAgreementTest : public ::testing::TestWithParam<VpCase> {};
 

@@ -264,32 +264,6 @@ TEST(SimdKernelParityTest, ZeroVectorCosineRulesHold) {
   }
 }
 
-TEST(SimdKernelParityTest, MultiQueryBlockMatchesSingleQueryBitwise) {
-  for (Level level : AvailableLevels()) {
-    const KernelTable& k = KernelsFor(level);
-    for (size_t n_queries : {size_t{1}, size_t{3}, size_t{4}, size_t{5}}) {
-      const size_t d = 11;
-      const size_t n_rows = 21;
-      const std::vector<double> queries =
-          FillValues(n_queries * d, 201 + n_queries, /*with_specials=*/false);
-      const std::vector<double> rows =
-          FillValues(n_rows * d, 202, /*with_specials=*/true);
-      std::vector<double> multi(n_queries * n_rows);
-      k.l2_multi_block(queries.data(), n_queries, rows.data(), n_rows, d,
-                       multi.data());
-      std::vector<double> single(n_rows);
-      for (size_t qi = 0; qi < n_queries; ++qi) {
-        k.l2_block(queries.data() + qi * d, rows.data(), n_rows, d,
-                   single.data());
-        for (size_t r = 0; r < n_rows; ++r) {
-          EXPECT_TRUE(BitEqual(multi[qi * n_rows + r], single[r]))
-              << LevelName(level) << " qi=" << qi << " r=" << r;
-        }
-      }
-    }
-  }
-}
-
 TEST(SimdKernelParityTest, VaBoundsMatchScalarReferenceBitwise) {
   const size_t cells = 8;
   const size_t bstride = cells + 1;
@@ -330,6 +304,30 @@ TEST(SimdKernelParityTest, VaBoundsMatchScalarReferenceBitwise) {
             EXPECT_TRUE(BitEqual(ub[r], want_ub))
                 << LevelName(level) << " kind=" << kind << " ub r=" << r;
           }
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernelParityTest, FirstAtMostMatchesScalarReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (Level level : AvailableLevels()) {
+    const KernelTable& k = KernelsFor(level);
+    for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{15},
+                     size_t{16}, size_t{17}, size_t{64}, size_t{255}}) {
+      std::vector<double> v = FillValues(n, 301 + n, /*with_specials=*/true);
+      for (double& x : v) x = std::fabs(x) + 1.0;  // every value above 1
+      for (size_t hit : {size_t{0}, n / 2, n > 0 ? n - 1 : 0}) {
+        for (double bound : {0.5, 1e301, inf, -inf, nan}) {
+          std::vector<double> w = v;
+          if (hit < n) w[hit] = 0.25;
+          size_t want = 0;
+          while (want < n && !(w[want] <= bound)) ++want;
+          EXPECT_EQ(k.first_at_most(w.data(), n, bound), want)
+              << LevelName(level) << " n=" << n << " hit=" << hit
+              << " bound=" << bound;
         }
       }
     }
