@@ -14,7 +14,8 @@
 # UndefinedBehaviorSanitizer build that re-runs the numeric/metrics suites
 # (the histogram binning paths cast doubles around; UBSan is the regression
 # net for the non-finite-cast class of bug), then an AddressSanitizer build
-# that re-runs the suites exercising the failure paths, and finally a
+# that re-runs the suites exercising the failure paths and the scan
+# kernels (which must never read past a BlockedMatrix's rows), and finally a
 # fault-injection sweep: the robustness suite re-runs with each registered
 # COHERE_FAULT point forced at probability 1.0, proving every documented
 # failure outcome holds when its fault actually fires. Run from the repo
@@ -276,17 +277,20 @@ else
   cmake -B "$ASAN_DIR" -S "$ROOT" -DCOHERE_SANITIZE=address \
     -DCOHERE_BUILD_BENCHMARKS=OFF >/dev/null
   cmake --build "$ASAN_DIR" -j "$(nproc)" --target common_tests core_tests \
-    reduction_tests integration_tests simd_tests linalg_tests
+    reduction_tests integration_tests simd_tests linalg_tests index_tests
 
   echo "==> tier-1: failure-path suites under ASAN"
   "$ASAN_DIR/tests/common_tests" --gtest_filter='Fault*:Parallel*'
   "$ASAN_DIR/tests/core_tests" --gtest_filter='DynamicEngine*'
   "$ASAN_DIR/tests/reduction_tests" --gtest_filter='Pipeline*'
   "$ASAN_DIR/tests/integration_tests"
-  # Aligned-load coverage: the block kernels read row tails and the padded
-  # BlockedMatrix region; ASan proves no kernel reads past an allocation.
+  # Aligned-load coverage: a BlockedMatrix built from a Matrix ends exactly
+  # at its last row, so any block kernel (the SIMD kernel parity suite) or
+  # span scan (the filtered-scan and span-truncation suites) that reads past
+  # rows() runs off its allocation and ASan fails it.
   "$ASAN_DIR/tests/simd_tests"
-  "$ASAN_DIR/tests/linalg_tests" --gtest_filter='BlockedMatrix*'
+  "$ASAN_DIR/tests/index_tests" --gtest_filter='FilteredScan*:SpanTruncation*'
+  "$ASAN_DIR/tests/linalg_tests" --gtest_filter='BlockedMatrix*:RowStore*'
 fi
 
 echo "==> tier-1: fault-injection sweep (each point at probability 1.0)"

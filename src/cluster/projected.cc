@@ -118,19 +118,24 @@ void DropEmpty(std::vector<ProjectedCluster>* clusters,
 // Not a point-to-point distance (it projects the centered point onto the
 // cluster's subspace basis first), so it cannot dedupe onto the shared
 // simd::L2Squared entry point the way cluster/kmeans.cc did.
-double ProjectedSquaredDistance(const Vector& point,
-                                const ProjectedCluster& cluster) {
-  COHERE_CHECK_EQ(point.size(), cluster.centroid.size());
-  COHERE_CHECK_EQ(cluster.basis.rows(), point.size());
+double ProjectedSquaredDistance(const Vector& point, const Vector& centroid,
+                                const Matrix& basis) {
+  COHERE_CHECK_EQ(point.size(), centroid.size());
+  COHERE_CHECK_EQ(basis.rows(), point.size());
   double sum = 0.0;
-  for (size_t c = 0; c < cluster.basis.cols(); ++c) {
+  for (size_t c = 0; c < basis.cols(); ++c) {
     double coord = 0.0;
     for (size_t j = 0; j < point.size(); ++j) {
-      coord += (point[j] - cluster.centroid[j]) * cluster.basis.At(j, c);
+      coord += (point[j] - centroid[j]) * basis.At(j, c);
     }
     sum += coord * coord;
   }
   return sum;
+}
+
+double ProjectedSquaredDistance(const Vector& point,
+                                const ProjectedCluster& cluster) {
+  return ProjectedSquaredDistance(point, cluster.centroid, cluster.basis);
 }
 
 size_t NearestProjectedCluster(

@@ -60,6 +60,9 @@ Result<ProjectedClusteringResult> RunProjectedClustering(
 
 /// Squared distance between `point` and `centroid` measured inside
 /// `basis` (d x l): |B^T (point - centroid)|^2.
+double ProjectedSquaredDistance(const Vector& point, const Vector& centroid,
+                                const Matrix& basis);
+/// Same, for a cluster's centroid and basis.
 double ProjectedSquaredDistance(const Vector& point,
                                 const ProjectedCluster& cluster);
 

@@ -50,18 +50,23 @@ Result<DynamicReducedIndex> DynamicReducedIndex::Build(
   for (size_t i = 0; i < n; ++i) {
     reduced.SetRow(i, pipeline->TransformPoint(dataset.Record(i)));
   }
+  const std::vector<int> labels =
+      dataset.HasLabels() ? dataset.labels() : std::vector<int>(n, kNoLabel);
+  WriterState& writer = *index.writer_;
+  constexpr bool kGrowable = true;
+  writer.reduced =
+      RowStore<double>::Copy(reduced.data(), n, reduced_dims, kGrowable);
+  writer.originals = RowStore<double>::Copy(dataset.features().data(), n,
+                                            index.dims_, kGrowable);
+  writer.labels = RowStore<int>::Copy(labels.data(), n, 1, kGrowable);
 
-  auto snapshot = std::make_shared<EngineSnapshot>();
+  auto snapshot = std::make_shared<DynamicSnapshot>();
   snapshot->metric = MakeMetric(options.metric, options.metric_p);
-  snapshot->originals = dataset.features();
-  if (dataset.HasLabels()) {
-    snapshot->labels = dataset.labels();
-  } else {
-    snapshot->labels.assign(n, kNoLabel);
-  }
+  snapshot->originals = BlockedMatrix(writer.originals, n);
+  snapshot->labels = writer.labels;
   SnapshotShard shard;
   shard.pipeline = std::move(*pipeline);
-  shard.rows = std::make_shared<const BlockedMatrix>(reduced);
+  shard.rows = std::make_shared<const BlockedMatrix>(writer.reduced, n);
   shard.index =
       std::make_unique<LinearScanIndex>(shard.rows, snapshot->metric.get());
   snapshot->shards.push_back(std::move(shard));
@@ -101,34 +106,28 @@ Status DynamicReducedIndex::Insert(const Vector& record, int label) {
     return Status::InvalidArgument("record dimensionality mismatch");
   }
   std::lock_guard<std::mutex> lock(writer_->mu);
-  const std::shared_ptr<const EngineSnapshot> snapshot = serving_->snapshot();
+  const std::shared_ptr<const DynamicSnapshot> snapshot = this->snapshot();
   const SnapshotShard& shard = snapshot->shards[0];
-  // The shard-owned blocked rows are plain row-major with padding only
-  // after the last row, so rows [0, n) are one contiguous run.
-  const BlockedMatrix& old_reduced = *shard.rows;
-  const size_t n = snapshot->labels.size();
-  const size_t reduced_dims = old_reduced.cols();
+  const size_t n = snapshot->size();
 
-  // Copy-on-write: build the successor snapshot aside (extended originals,
-  // extended reduced rows, fresh index over them) and publish it atomically.
-  // In-flight queries keep the old snapshot alive until they finish.
-  auto next = std::make_shared<EngineSnapshot>();
-  next->metric = snapshot->metric;
-  next->labels = snapshot->labels;
-  next->labels.push_back(label);
-  next->originals = Matrix(n + 1, dims_);
-  std::copy(snapshot->originals.data(),
-            snapshot->originals.data() + n * dims_, next->originals.data());
-  std::copy(record.data(), record.data() + dims_, next->originals.RowPtr(n));
-  Matrix reduced(n + 1, reduced_dims);
-  std::copy(old_reduced.data(), old_reduced.data() + n * reduced_dims,
-            reduced.data());
+  // Append the record past every published row count and publish a
+  // successor viewing one more row; the stores are shared with every
+  // earlier snapshot, and in-flight queries never read past their own
+  // count. The rows are committed only once the successor is published.
   const Vector projected = shard.pipeline.TransformPoint(record);
-  std::copy(projected.data(), projected.data() + reduced_dims,
-            reduced.RowPtr(n));
+  std::shared_ptr<RowStore<double>> reduced =
+      RowStore<double>::Append(writer_->reduced, n, projected.data());
+  std::shared_ptr<RowStore<double>> originals =
+      RowStore<double>::Append(writer_->originals, n, record.data());
+  std::shared_ptr<RowStore<int>> labels =
+      RowStore<int>::Append(writer_->labels, n, &label);
+  auto next = std::make_shared<DynamicSnapshot>();
+  next->metric = snapshot->metric;
+  next->originals = BlockedMatrix(originals, n + 1);
+  next->labels = labels;
   SnapshotShard next_shard;
   next_shard.pipeline = shard.pipeline;  // unchanged by inserts
-  next_shard.rows = std::make_shared<const BlockedMatrix>(reduced);
+  next_shard.rows = std::make_shared<const BlockedMatrix>(reduced, n + 1);
   next_shard.index =
       std::make_unique<LinearScanIndex>(next_shard.rows, next->metric.get());
   next->shards.push_back(std::move(next_shard));
@@ -148,9 +147,16 @@ Status DynamicReducedIndex::Insert(const Vector& record, int label) {
   }
   if (!published.ok()) {
     // The old snapshot is still serving and the record was not inserted;
-    // leave the drift monitor untouched.
+    // its uncommitted row is overwritten by the next insert. Leave the
+    // drift monitor untouched.
     return published;
   }
+  reduced->Commit(n + 1);
+  originals->Commit(n + 1);
+  labels->Commit(n + 1);
+  writer_->reduced = std::move(reduced);
+  writer_->originals = std::move(originals);
+  writer_->labels = std::move(labels);
 
   writer_->recent_errors.push_back(
       ReconstructionErrorSq(shard.pipeline, record));
@@ -195,9 +201,9 @@ std::vector<std::vector<Neighbor>> DynamicReducedIndex::QueryBatch(
 }
 
 int DynamicReducedIndex::label(size_t i) const {
-  const std::shared_ptr<const EngineSnapshot> snapshot = serving_->snapshot();
-  COHERE_CHECK_LT(i, snapshot->labels.size());
-  return snapshot->labels[i];
+  const std::shared_ptr<const DynamicSnapshot> snapshot = this->snapshot();
+  COHERE_CHECK_LT(i, snapshot->size());
+  return *snapshot->labels->RowPtr(i);
 }
 
 double DynamicReducedIndex::BaselineReconstructionError() const {
@@ -251,10 +257,9 @@ Status DynamicReducedIndex::Refit() {
           ? obs::MetricsRegistry::Global().GetHistogram(
                 "dynamic_index.refit_latency_us")
           : nullptr);
-  const std::shared_ptr<const EngineSnapshot> snapshot = serving_->snapshot();
-  const size_t n = snapshot->labels.size();
-  Matrix features = snapshot->originals;
-  Dataset dataset(std::move(features));
+  const std::shared_ptr<const DynamicSnapshot> snapshot = this->snapshot();
+  const size_t n = snapshot->size();
+  Dataset dataset(snapshot->originals.ToMatrix());
   // Labels may be partially kNoLabel; the reduction does not need them.
 
   auto fail = [&](const Status& status) {
@@ -295,13 +300,17 @@ Status DynamicReducedIndex::Refit() {
   for (size_t i = 0; i < n; ++i) {
     reduced.SetRow(i, pipeline->TransformPoint(dataset.Record(i)));
   }
-  auto next = std::make_shared<EngineSnapshot>();
+  std::shared_ptr<RowStore<double>> reduced_store =
+      RowStore<double>::Copy(reduced.data(), n, reduced_dims,
+                             /*growable=*/true);
+  // The originals and labels are unchanged: share their stores.
+  auto next = std::make_shared<DynamicSnapshot>();
   next->metric = snapshot->metric;
-  next->labels = snapshot->labels;
   next->originals = snapshot->originals;
+  next->labels = snapshot->labels;
   SnapshotShard next_shard;
   next_shard.pipeline = std::move(*pipeline);
-  next_shard.rows = std::make_shared<const BlockedMatrix>(reduced);
+  next_shard.rows = std::make_shared<const BlockedMatrix>(reduced_store, n);
   next_shard.index =
       std::make_unique<LinearScanIndex>(next_shard.rows, next->metric.get());
   next->shards.push_back(std::move(next_shard));
@@ -315,6 +324,7 @@ Status DynamicReducedIndex::Refit() {
   Status published = serving_->Publish(std::move(next));
   if (!published.ok()) return fail(published);
 
+  writer_->reduced = std::move(reduced_store);
   writer_->fitted_records = n;
   writer_->consecutive_refit_failures = 0;
   writer_->backoff_remaining_inserts = 0;
@@ -328,7 +338,7 @@ Status DynamicReducedIndex::Refit() {
 }
 
 std::string DynamicReducedIndex::Describe() const {
-  const std::shared_ptr<const EngineSnapshot> snapshot = serving_->snapshot();
+  const std::shared_ptr<const DynamicSnapshot> snapshot = this->snapshot();
   size_t fitted;
   {
     std::lock_guard<std::mutex> lock(writer_->mu);
@@ -338,7 +348,7 @@ std::string DynamicReducedIndex::Describe() const {
   std::snprintf(buf, sizeof(buf),
                 "DynamicReducedIndex: n=%zu (fitted on %zu) dims=%zu->%zu "
                 "drift=%.2f%s",
-                snapshot->labels.size(), fitted, dims_,
+                snapshot->size(), fitted, dims_,
                 snapshot->shards[0].pipeline.ReducedDims(), DriftRatio(),
                 NeedsRefit() ? " REFIT" : "");
   return buf;

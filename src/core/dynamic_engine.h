@@ -53,6 +53,20 @@ struct DynamicEngineOptions {
   RetryPolicyOptions insert_retry;
 };
 
+/// The dynamic engine's published state: the generic serving state plus
+/// the original-space records and labels that Refit() and label() read.
+/// Reduced rows, originals and labels are all prefix views of `size()`
+/// rows over the engine's append-only stores (see RowStore), so successive
+/// snapshots share their history instead of copying it.
+struct DynamicSnapshot : EngineSnapshot {
+  size_t size() const { return shards[0].rows->rows(); }
+
+  BlockedMatrix originals;
+  /// One label per row, kNoLabel (-1) for unlabeled records; entries at
+  /// and past size() belong to other snapshots.
+  std::shared_ptr<const RowStore<int>> labels;
+};
+
 /// A reduced similarity index for *dynamic* data sets (the concern of the
 /// paper's reference [17], Ravi Kanth et al., SIGMOD 1998): records can be
 /// inserted after the reduction was fitted, the index answers queries
@@ -69,6 +83,14 @@ struct DynamicEngineOptions {
 /// under an internal mutex (serializing Insert/Refit against each other) and
 /// publish it atomically; a query that started on the old snapshot keeps it
 /// alive and finishes on it.
+///
+/// Cost: an Insert appends one row to each of three shared stores (reduced
+/// rows, originals, labels) past every published row count, so it costs
+/// amortized O(d + D) — when a store is full its rows are copied once into
+/// one of twice the capacity. Each store therefore holds at most about
+/// twice the rows in use, plus, during a growth, the previous store until
+/// the last snapshot viewing it drops. Refit() reprojects every row into a
+/// fresh reduced store and shares the originals and labels.
 class DynamicReducedIndex {
  public:
   DynamicReducedIndex(DynamicReducedIndex&&) = default;
@@ -82,9 +104,10 @@ class DynamicReducedIndex {
 
   /// Inserts a record given in the original attribute space. `label` may be
   /// kNoLabel for unlabeled records. The record is immediately queryable:
-  /// the insert copy-on-writes a successor snapshot and publishes it, so
-  /// concurrent queries see either the old or the new state, never a torn
-  /// one.
+  /// the insert appends it past the current snapshot's rows and publishes a
+  /// successor viewing one more row, so concurrent queries see either the
+  /// old or the new state, never a torn one. A failed publish exposes
+  /// nothing; the next insert overwrites the unpublished row.
   Status Insert(const Vector& record, int label = kNoLabel);
 
   /// k nearest records (by the reduced-space metric) to an original-space
@@ -115,7 +138,7 @@ class DynamicReducedIndex {
       const QueryLimits& limits) const;
 
   /// Total records currently indexed.
-  size_t size() const { return serving_->snapshot()->labels.size(); }
+  size_t size() const { return snapshot()->size(); }
   /// Label of record `i` (kNoLabel when unlabeled).
   int label(size_t i) const;
 
@@ -161,6 +184,13 @@ class DynamicReducedIndex {
   /// Insert/Refit publish).
   uint64_t SnapshotVersion() const { return serving_->version(); }
 
+  /// The serving snapshot; holding it pins its rows, originals and labels.
+  /// (This engine's handle only ever holds DynamicSnapshots it published.)
+  std::shared_ptr<const DynamicSnapshot> snapshot() const {
+    return std::static_pointer_cast<const DynamicSnapshot>(
+        serving_->snapshot());
+  }
+
   /// The serving substrate (snapshot handle, metrics, query plumbing).
   const ServingCore& serving() const { return *serving_; }
 
@@ -192,6 +222,10 @@ class DynamicReducedIndex {
     /// Bounded publish-retry for Insert (see
     /// DynamicEngineOptions::insert_retry); used under `mu`.
     RetryPolicy insert_retry;
+    /// The stores the serving snapshot views; only this writer appends.
+    std::shared_ptr<RowStore<double>> reduced;
+    std::shared_ptr<RowStore<double>> originals;
+    std::shared_ptr<RowStore<int>> labels;
   };
 
   double RecentReconstructionErrorLocked() const;

@@ -130,7 +130,6 @@ Result<ReducedSearchEngine> ReducedSearchEngine::Build(
   shard.rows = std::move(rows);
   shard.index = std::move(index);
   snapshot->shards.push_back(std::move(shard));
-  if (dataset.HasLabels()) snapshot->labels = dataset.labels();
 
   ServingCoreOptions serving_options;
   serving_options.scope = "engine";

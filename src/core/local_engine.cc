@@ -33,7 +33,6 @@ LocalReducedSearchEngine::BuildSnapshot(const Dataset& dataset,
 
   auto snapshot = std::make_shared<EngineSnapshot>();
   snapshot->metric = std::move(metric);
-  if (dataset.HasLabels()) snapshot->labels = dataset.labels();
 
   // Cluster in the globally studentized space so heterogeneous attribute
   // scales do not dominate the partitioning (Section 2.2 all over again).

@@ -399,15 +399,11 @@ std::vector<size_t> ServingCore::RouteShards(
   scored.reserve(snapshot.shards.size());
   for (size_t c = 0; c < snapshot.shards.size(); ++c) {
     const SnapshotShard& shard = snapshot.shards[c];
-    double dist;
-    if (!shard.cluster_basis.empty()) {
-      ProjectedCluster view;
-      view.centroid = shard.centroid;
-      view.basis = shard.cluster_basis;
-      dist = ProjectedSquaredDistance(studentized_query, view);
-    } else {
-      dist = (studentized_query - shard.centroid).SquaredNorm2();
-    }
+    const double dist =
+        shard.cluster_basis.empty()
+            ? (studentized_query - shard.centroid).SquaredNorm2()
+            : ProjectedSquaredDistance(studentized_query, shard.centroid,
+                                       shard.cluster_basis);
     scored.emplace_back(dist, c);
   }
   std::sort(scored.begin(), scored.end());

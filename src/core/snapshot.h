@@ -24,9 +24,9 @@ namespace cohere {
 /// layer uses to pick which shards a query probes.
 struct SnapshotShard {
   ReductionPipeline pipeline;       ///< Fitted on the member records.
-  /// The reduced member rows in blocked (64-byte-aligned, zero-padded)
-  /// layout — the shard owns this one copy and the index references it, so
-  /// scan backends hold no private row storage.
+  /// The reduced member rows in blocked (64-byte-aligned, contiguous)
+  /// layout — the index references this one copy, so scan backends hold no
+  /// private row storage.
   std::shared_ptr<const BlockedMatrix> rows;
   std::unique_ptr<KnnIndex> index;  ///< Over `rows`.
   std::vector<size_t> members;      ///< Global row per local row; empty = id.
@@ -38,7 +38,9 @@ struct SnapshotShard {
 /// byte a query touches. Snapshots are built aside by writers, published
 /// through SnapshotHandle, and never mutated afterwards — readers that hold
 /// a shared_ptr to one can use it without any synchronization while writers
-/// publish successors.
+/// publish successors. Row storage may be shared with successors (a dynamic
+/// engine appends past every published row count, see RowStore), but no
+/// byte a published snapshot can read is ever written.
 struct EngineSnapshot {
   /// Monotonically increasing per-handle publish ordinal (first publish is
   /// version 1). Stamped by SnapshotHandle::Publish.
@@ -49,14 +51,6 @@ struct EngineSnapshot {
   std::shared_ptr<const Metric> metric;
 
   std::vector<SnapshotShard> shards;
-
-  /// Per-record labels (kNoLabel/-1 for unlabeled); may be empty when the
-  /// engine does not track labels.
-  std::vector<int> labels;
-
-  /// Original-space records, kept only by engines that need them after
-  /// build (the dynamic engine's refit and drift paths). Empty otherwise.
-  Matrix originals;
 
   /// Global z-score transform and the studentized copies of every record;
   /// present on multi-locality snapshots, where routing and full-space

@@ -28,19 +28,34 @@ VaFileIndex::VaFileIndex(std::shared_ptr<const BlockedMatrix> rows,
   boundaries_.assign(d * bstride, 0.0);
   codes_.assign(n * d, 0);
 
-  std::vector<double> column(n);
-  for (size_t j = 0; j < d; ++j) {
-    for (size_t i = 0; i < n; ++i) column[i] = rows_->At(i, j);
-    std::sort(column.begin(), column.end());
+  for (size_t i = 0; i < n; ++i) {
+    const double* row = rows_->RowPtr(i);
+    if (std::any_of(row, row + d, [](double v) { return std::isnan(v); })) {
+      nan_rows_.push_back(i);
+    }
+  }
 
-    // Equi-frequency boundaries: cell c covers ranks [c*n/cells,
-    // (c+1)*n/cells). Duplicated boundaries (constant stretches) are legal —
+  // Boundaries come from the numbers of each column only: NaN has no place
+  // in a sort. A NaN coordinate keeps code 0; its row's bounds are set
+  // at query time instead (see QueryImpl).
+  std::vector<double> column;
+  column.reserve(n);
+  for (size_t j = 0; j < d; ++j) {
+    column.clear();
+    for (size_t i = 0; i < n; ++i) {
+      if (!std::isnan(rows_->At(i, j))) column.push_back(rows_->At(i, j));
+    }
+    std::sort(column.begin(), column.end());
+    const size_t m = column.size();
+
+    // Equi-frequency boundaries: cell c covers ranks [c*m/cells,
+    // (c+1)*m/cells). Duplicated boundaries (constant stretches) are legal —
     // such cells are simply empty.
     double* b = boundaries_.data() + j * bstride;
     b[0] = column.empty() ? 0.0 : column.front();
     for (size_t c = 1; c < cells_; ++c) {
-      const size_t rank = c * n / cells_;
-      b[c] = column.empty() ? 0.0 : column[std::min(rank, n - 1)];
+      const size_t rank = c * m / cells_;
+      b[c] = column.empty() ? 0.0 : column[std::min(rank, m - 1)];
     }
     // Nudge the top boundary so max values land inside the last cell.
     const double top = column.empty() ? 1.0 : column.back();
@@ -48,6 +63,7 @@ VaFileIndex::VaFileIndex(std::shared_ptr<const BlockedMatrix> rows,
 
     for (size_t i = 0; i < n; ++i) {
       const double v = rows_->At(i, j);
+      if (std::isnan(v)) continue;
       // Last boundary strictly above all values => upper_bound in [1, cells].
       const size_t cell =
           static_cast<size_t>(std::upper_bound(b + 1, b + bstride, v) -
@@ -86,6 +102,14 @@ std::vector<Neighbor> VaFileIndex::QueryImpl(const Vector& query, size_t k,
   const size_t span_rows =
       control != nullptr ? QueryControl::kCheckInterval : kSpan;
   const size_t bstride = cells_ + 1;
+  // A row holding a NaN has a NaN distance under L2 and L1, which the
+  // collectors rank after every number: bound it by (+inf, NaN). Under
+  // L-infinity the NaN coordinate drops out of the max, so the distance is
+  // a number: (0, NaN) bounds it.
+  const double nan_row_lb =
+      kind == MetricKind::kChebyshev ? 0.0
+                                     : std::numeric_limits<double>::infinity();
+  auto next_nan_row = nan_rows_.begin();
   std::vector<std::pair<double, size_t>> candidates;  // (lower bound, index)
   KnnCollector upper_bounds(k);
   double lb[kSpan];
@@ -97,6 +121,11 @@ std::vector<Neighbor> VaFileIndex::QueryImpl(const Vector& query, size_t k,
     const size_t span = std::min(span_rows, n - base);
     va_bounds(query.data(), codes_.data() + base * d, span, d,
               boundaries_.data(), bstride, lb, ub);
+    for (; next_nan_row != nan_rows_.end() && *next_nan_row < base + span;
+         ++next_nan_row) {
+      lb[*next_nan_row - base] = nan_row_lb;
+      ub[*next_nan_row - base] = std::numeric_limits<double>::quiet_NaN();
+    }
     ++spans;
     visited += span - (skip_index - base < span ? 1 : 0);
     upper_bounds.OfferSpan(base, ub, span, skip_index);

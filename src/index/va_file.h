@@ -57,6 +57,7 @@ class VaFileIndex final : public KnnIndex {
   size_t cells_;  // 2^bits_per_dim
   std::vector<double> boundaries_;  // flat d x (cells+1), stride cells+1
   std::vector<uint8_t> codes_;      // row-major n x d cell codes
+  std::vector<size_t> nan_rows_;    // ascending rows holding a NaN
 };
 
 }  // namespace cohere

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <deque>
 #include <thread>
 #include <vector>
 
@@ -386,6 +387,33 @@ TEST(ServingSnapshotTest, DynamicPublishesAdvanceVersion) {
   EXPECT_EQ(index->serving().snapshot()->version, 4u);
 }
 
+TEST(ServingSnapshotTest, ConsecutiveInsertsShareRowStorage) {
+  Dataset data = DynamicData();
+  auto [fit_part, rest] = data.Split(250);
+  Result<DynamicReducedIndex> index =
+      DynamicReducedIndex::Build(fit_part, DynamicOptions());
+  ASSERT_TRUE(index.ok());
+  // The first insert grows the exact-fit stores Build made; the next one
+  // has room and appends in place.
+  ASSERT_TRUE(index->Insert(rest.Record(0), 1).ok());
+  const std::shared_ptr<const DynamicSnapshot> first = index->snapshot();
+  const Vector first_last_row = first->shards[0].rows->Row(250);
+  ASSERT_TRUE(index->Insert(rest.Record(1), 0).ok());
+  const std::shared_ptr<const DynamicSnapshot> second = index->snapshot();
+
+  EXPECT_EQ(second->shards[0].rows->RowPtr(0),
+            first->shards[0].rows->RowPtr(0));
+  EXPECT_EQ(second->originals.RowPtr(0), first->originals.RowPtr(0));
+  EXPECT_EQ(second->labels, first->labels);
+  // The older snapshot still views exactly its own rows.
+  EXPECT_EQ(first->size(), 251u);
+  EXPECT_EQ(second->size(), 252u);
+  EXPECT_EQ(first->shards[0].rows->Row(250), first_last_row);
+  EXPECT_EQ(*first->labels->RowPtr(250), 1);
+  EXPECT_EQ(*second->labels->RowPtr(251), 0);
+  EXPECT_EQ(second->originals.Row(251), rest.Record(1));
+}
+
 TEST(ServingSnapshotTest, LocalRebuildPublishesWhileOldSnapshotStaysValid) {
   Dataset data = MixedPopulations(441);
   Result<LocalReducedSearchEngine> engine =
@@ -581,6 +609,124 @@ TEST(ServingConcurrencyTest, QueriesRaceInsertsAndRefits) {
 
   EXPECT_EQ(index.size(), data.NumRecords());
   EXPECT_EQ(index.SnapshotVersion(), 1u + insert_part.NumRecords() + refits);
+}
+
+// What a reader copied out of a pinned dynamic snapshot at pin time.
+struct PinnedCopy {
+  std::shared_ptr<const DynamicSnapshot> snapshot;
+  std::vector<double> rows;
+  std::vector<double> originals;
+  std::vector<int> labels;
+};
+
+PinnedCopy Pin(const DynamicReducedIndex& index) {
+  PinnedCopy pin;
+  pin.snapshot = index.snapshot();
+  const DynamicSnapshot& snap = *pin.snapshot;
+  const BlockedMatrix& rows = *snap.shards[0].rows;
+  pin.rows.assign(rows.data(), rows.data() + rows.rows() * rows.cols());
+  pin.originals.assign(
+      snap.originals.data(),
+      snap.originals.data() + snap.originals.rows() * snap.originals.cols());
+  pin.labels.assign(snap.labels->RowPtr(0),
+                    snap.labels->RowPtr(0) + snap.size());
+  return pin;
+}
+
+// The pinned snapshot still holds the bytes read at pin time, and its index
+// answers `query` exactly as a brute-force scan over those rows does,
+// including the index order of ties.
+void ExpectPinnedIntact(const PinnedCopy& pin, const Vector& query,
+                        size_t k) {
+  const DynamicSnapshot& snap = *pin.snapshot;
+  const BlockedMatrix& rows = *snap.shards[0].rows;
+  const size_t n = snap.size();
+  ASSERT_EQ(rows.rows(), n);
+  ASSERT_EQ(snap.originals.rows(), n);
+  ASSERT_EQ(pin.labels.size(), n);
+  EXPECT_EQ(std::memcmp(rows.data(), pin.rows.data(),
+                        pin.rows.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(snap.originals.data(), pin.originals.data(),
+                        pin.originals.size() * sizeof(double)),
+            0);
+  EXPECT_EQ(std::memcmp(snap.labels->RowPtr(0), pin.labels.data(),
+                        n * sizeof(int)),
+            0);
+
+  const Vector reduced = snap.shards[0].pipeline.TransformPoint(query);
+  const size_t d = rows.cols();
+  std::vector<std::pair<double, size_t>> brute;
+  for (size_t i = 0; i < n; ++i) {
+    double sum = 0.0;
+    for (size_t j = 0; j < d; ++j) {
+      const double t = reduced[j] - pin.rows[i * d + j];
+      sum += t * t;
+    }
+    brute.emplace_back(sum, i);
+  }
+  std::sort(brute.begin(), brute.end());
+  const std::vector<Neighbor> answer = snap.shards[0].index->Query(reduced, k);
+  ASSERT_EQ(answer.size(), std::min(k, n));
+  for (size_t r = 0; r < answer.size(); ++r) {
+    EXPECT_EQ(answer[r].index, brute[r].second) << "rank " << r;
+    EXPECT_EQ(answer[r].distance,
+              snap.metric->ComparableToActual(brute[r].first))
+        << "rank " << r;
+  }
+}
+
+TEST(ServingConcurrencyTest, PinnedSnapshotsSurviveGrowthAndRefit) {
+  Dataset data = DynamicData();
+  // 40 fitted rows and 260 inserts: the shared stores grow 40 -> 80 ->
+  // 160 -> 320 rows, and the refit after insert 100 starts a fresh reduced
+  // store that grows again, while the originals and labels keep theirs.
+  auto [fit_part, insert_part] = data.Split(40);
+  Result<DynamicReducedIndex> built =
+      DynamicReducedIndex::Build(fit_part, DynamicOptions());
+  ASSERT_TRUE(built.ok());
+  DynamicReducedIndex& index = *built;
+
+  std::atomic<bool> done{false};
+  std::atomic<size_t> started{0};
+  const size_t k = 5;
+  auto reader = [&](size_t thread_seed) {
+    std::deque<PinnedCopy> held;
+    size_t i = 0;
+    while (!done.load(std::memory_order_acquire) || i < 20) {
+      held.push_back(Pin(index));
+      if (held.size() > 6) held.pop_front();
+      const Vector query =
+          data.Record((i * 11 + thread_seed) % data.NumRecords());
+      for (const PinnedCopy& pin : held) ExpectPinnedIntact(pin, query, k);
+      if (i++ == 0) started.fetch_add(1, std::memory_order_release);
+    }
+  };
+  const std::shared_ptr<const DynamicSnapshot> first = index.snapshot();
+  std::vector<std::thread> readers;
+  for (size_t t = 0; t < 2; ++t) readers.emplace_back(reader, t + 1);
+  while (started.load(std::memory_order_acquire) < readers.size()) {
+    std::this_thread::yield();
+  }
+
+  for (size_t i = 0; i < insert_part.NumRecords(); ++i) {
+    ASSERT_TRUE(
+        index.Insert(insert_part.Record(i), static_cast<int>(i % 3)).ok());
+    if (i + 1 == 100) {
+      ASSERT_TRUE(index.Refit().ok());
+    }
+    std::this_thread::yield();  // let the readers pin many versions
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : readers) t.join();
+
+  const std::shared_ptr<const DynamicSnapshot> last = index.snapshot();
+  EXPECT_EQ(last->size(), data.NumRecords());
+  EXPECT_NE(last->originals.RowPtr(0), first->originals.RowPtr(0));
+  EXPECT_EQ(index.label(data.NumRecords() - 1), 259 % 3);
+  // The very first snapshot, pinned through every growth, is untouched.
+  ASSERT_EQ(first->size(), 40u);
+  EXPECT_EQ(first->originals.Row(39), fit_part.Record(39));
 }
 
 TEST(ServingConcurrencyTest, QueriesRaceLocalRebuilds) {

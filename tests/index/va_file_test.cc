@@ -1,6 +1,7 @@
 #include "index/va_file.h"
 
 #include <cstdint>
+#include <limits>
 #include <type_traits>
 
 #include <gtest/gtest.h>
@@ -63,6 +64,36 @@ TEST(VaFileTest, ConstantColumnHandled) {
   LinearScanIndex scan(data, metric.get());
   const Vector query{5.0, 12.2};
   EXPECT_EQ(va.Query(query, 4), scan.Query(query, 4));
+}
+
+// A NaN coordinate has no place in the boundary sort, and its row must
+// rank exactly where the linear scan ranks it: after every number under L2
+// and L1, and by its other coordinates under L-infinity. The other rows'
+// answers must not move.
+TEST(VaFileTest, RowWithNaNKeepsEveryAnswerExact) {
+  const size_t n = 40;
+  size_t queries = 0;
+  for (MetricKind kind : {MetricKind::kEuclidean, MetricKind::kManhattan,
+                          MetricKind::kChebyshev}) {
+    auto metric = MakeMetric(kind);
+    for (uint64_t seed = 0; seed < 200; ++seed) {
+      Rng rng(seed);
+      Matrix data = RandomMatrix(n, 2, &rng);
+      const size_t nan_row = seed % n;
+      data.At(nan_row, seed % 2) = std::numeric_limits<double>::quiet_NaN();
+      VaFileIndex va(data, metric.get(), 3);
+      LinearScanIndex scan(data, metric.get());
+      for (size_t q = 0; q < n; ++q) {
+        if (q == nan_row) continue;  // every distance NaN: nothing to rank
+        const Vector query = data.Row(q);
+        ++queries;
+        ASSERT_EQ(va.Query(query, 3, q, nullptr),
+                  scan.Query(query, 3, q, nullptr))
+            << metric->name() << " seed " << seed << " query " << q;
+      }
+    }
+  }
+  EXPECT_EQ(queries, 3u * 200u * (n - 1));
 }
 
 TEST(VaFileDeathTest, RejectsBadConfig) {

@@ -367,25 +367,38 @@ TEST_F(FaultMatrixTest, SnapshotPublishFaultKeepsOldSnapshotServing) {
   Result<DynamicReducedIndex> index =
       DynamicReducedIndex::Build(data, options);
   ASSERT_TRUE(index.ok()) << index.status().ToString();
-  ASSERT_EQ(index->SnapshotVersion(), 1u);
+  // One insert first grows the stores, so the failed insert below writes
+  // record A in place past the published rows; the next insert, of a
+  // different record B, must take that row over.
+  ASSERT_TRUE(index->Insert(data.Record(2) * 2.0).ok());
+  ASSERT_EQ(index->SnapshotVersion(), 2u);
 
   const auto before = index->Query(data.Record(3), 4);
+  const size_t n = data.NumRecords() + 1;
+  const Vector record_a = data.Record(0) * 3.0;
+  const Vector record_b = data.Record(1) * -3.0;
   fault::Arm(fault::kPointSnapshotPublish, 1.0);
-  const Status insert = index->Insert(data.Record(0));
+  const Status insert = index->Insert(record_a, 1);
   EXPECT_FALSE(insert.ok());
   EXPECT_EQ(insert.code(), StatusCode::kInternal);
   ASSERT_FALSE(index->Refit().ok());
   fault::DisarmAll();
 
   // Old snapshot still serving: same size, same version, same answers.
-  EXPECT_EQ(index->size(), data.NumRecords());
-  EXPECT_EQ(index->SnapshotVersion(), 1u);
+  EXPECT_EQ(index->size(), n);
+  EXPECT_EQ(index->SnapshotVersion(), 2u);
   EXPECT_EQ(index->Query(data.Record(3), 4), before);
 
-  // Recovery once the fault clears.
-  EXPECT_TRUE(index->Insert(data.Record(0)).ok());
-  EXPECT_EQ(index->size(), data.NumRecords() + 1);
-  EXPECT_EQ(index->SnapshotVersion(), 2u);
+  // Recovery once the fault clears: row n is B, not the stale A.
+  ASSERT_TRUE(index->Insert(record_b, 0).ok());
+  EXPECT_EQ(index->size(), n + 1);
+  EXPECT_EQ(index->SnapshotVersion(), 3u);
+  EXPECT_EQ(index->label(n), 0);
+  const std::vector<Neighbor> self = index->Query(record_b, 1);
+  ASSERT_EQ(self.size(), 1u);
+  EXPECT_EQ(self[0].index, n);
+  EXPECT_EQ(self[0].distance, 0.0);
+  EXPECT_EQ(index->snapshot()->originals.Row(n), record_b);
 }
 
 TEST_F(FaultMatrixTest, DeadlineTruncationFeedsTheCounter) {
